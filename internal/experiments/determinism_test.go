@@ -1,12 +1,56 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"utlb/internal/parallel"
 	"utlb/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestRunAllGolden pins the full -exp all output across commits: a
+// refactor that claims unchanged results must leave every byte of
+// every experiment as recorded. Regenerate with
+// `go test ./internal/experiments -run TestRunAllGolden -update` only
+// for an intended change of results.
+func TestRunAllGolden(t *testing.T) {
+	opts := Options{Scale: 0.03, Seed: 7, Apps: []string{"water-spatial", "fft"}, Nodes: 2}
+	workload.ResetTraceStore()
+	var sb strings.Builder
+	if err := RunAll(opts, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got := []byte(sb.String())
+	path := filepath.Join("testdata", "runall.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/experiments -run TestRunAllGolden -update` to create)", err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("RunAll output drifted from %s at line %d:\ngot:  %q\nwant: %q", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("RunAll output drifted from %s: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
 
 // TestParallelOutputByteIdentical asserts the worker-pool rewiring is
 // invisible in the rendered results: every experiment produces exactly
