@@ -11,6 +11,15 @@ import (
 // a 32-bit address space with 4 KB pages, as on the paper's machines.
 const VASpacePages = 1 << 20
 
+// checkSpace rejects a buffer of pages pages at vpn that does not fit
+// in the VASpacePages address space the user-level structures cover.
+func checkSpace(vpn units.VPN, pages int) error {
+	if pages < 0 || uint64(vpn)+uint64(pages) > VASpacePages {
+		return fmt.Errorf("core: %d pages at %#x outside the %d-page address space", pages, vpn, VASpacePages)
+	}
+	return nil
+}
+
 // BitVector is the Hierarchical-UTLB user-level lookup structure: one
 // bit of pin status per virtual page (§3.3, "The user-level library
 // only needs a bit array to maintain the memory-pinning status of

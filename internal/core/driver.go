@@ -21,9 +21,6 @@ type Driver struct {
 	cache   *tlbcache.Cache
 	garbage units.PFN
 	tables  map[units.ProcID]*Table
-
-	pinCalls   int64
-	unpinCalls int64
 }
 
 // NewDriver initialises the driver on host/nic: it allocates and pins
@@ -68,10 +65,6 @@ func (d *Driver) Cache() *tlbcache.Cache { return d.cache }
 // Garbage returns the garbage frame invalid translations point at.
 func (d *Driver) Garbage() units.PFN { return d.garbage }
 
-// PinCalls and UnpinCalls report how many ioctls have been issued.
-func (d *Driver) PinCalls() int64   { return d.pinCalls }
-func (d *Driver) UnpinCalls() int64 { return d.unpinCalls }
-
 // Register allocates a translation table for proc and reserves its
 // directory's NIC SRAM. Registering twice is a caller bug.
 func (d *Driver) Register(proc *hostos.Process) (*Table, error) {
@@ -112,7 +105,6 @@ func (d *Driver) IoctlPin(proc *hostos.Process, vpns []units.VPN) ([]units.PFN, 
 	if !ok {
 		return nil, fmt.Errorf("core: pid %d not registered", proc.PID())
 	}
-	d.pinCalls++
 	pfns, err := d.host.PinPages(proc, vpns)
 	if err != nil {
 		return nil, err
@@ -177,7 +169,6 @@ func (d *Driver) IoctlUnpin(proc *hostos.Process, vpns []units.VPN) error {
 	if !ok {
 		return fmt.Errorf("core: pid %d not registered", proc.PID())
 	}
-	d.unpinCalls++
 	if err := d.host.UnpinPages(proc, vpns); err != nil {
 		return err
 	}

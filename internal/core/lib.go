@@ -167,6 +167,9 @@ func (l *Lib) Lookup(va units.VAddr, nbytes int) error {
 		return nil
 	}
 	vpn := va.PageOf()
+	if err := checkSpace(vpn, pages); err != nil {
+		return err
+	}
 	l.stats.Lookups++
 
 	t0 := l.host.Clock().Now()

@@ -90,8 +90,6 @@ type PerProcessUTLB struct {
 	free    []int
 
 	stats LibStats
-	// Fragmentation probes: how many free-slot searches were needed.
-	slotSearches int64
 	// Fragmentation accounting (§3.3: "after complex data accesses, a
 	// user buffer's translations may be scattered in the translation
 	// table") — adjacent page pairs whose table slots are not adjacent.
@@ -132,9 +130,6 @@ func NewPerProcessUTLB(drv *Driver, proc *hostos.Process, entries int, cfg LibCo
 	return u, nil
 }
 
-// Entries reports the translation table size.
-func (u *PerProcessUTLB) Entries() int { return u.entries }
-
 // Stats returns the cumulative counters.
 func (u *PerProcessUTLB) Stats() LibStats { return u.stats }
 
@@ -147,39 +142,41 @@ func (u *PerProcessUTLB) Lookup(va units.VAddr, nbytes int) ([]int, error) {
 	if pages == 0 {
 		return nil, nil
 	}
-	u.stats.Lookups++
 	vpn := va.PageOf()
+	if err := checkSpace(vpn, pages); err != nil {
+		return nil, err
+	}
+	u.stats.Lookups++
 	indices := make([]int, pages)
 
 	host := u.drv.Host()
 	t0 := host.Clock().Now()
-	var missing []units.VPN
+	missed := false
 	for i := 0; i < pages; i++ {
 		p := vpn + units.VPN(i)
 		if idx, ok := u.tree.Lookup(p); ok {
 			indices[i] = idx
 			u.policy.Touch(p)
 		} else {
-			missing = append(missing, p)
 			indices[i] = noIndex
+			missed = true
 		}
 	}
 	u.stats.CheckTime += host.Clock().Now() - t0
-	if len(missing) == 0 {
+	if !missed {
 		return indices, nil
 	}
 	u.stats.CheckMisses++
 
-	for _, p := range missing {
-		idx, err := u.installOne(p)
+	for i, idx := range indices {
+		if idx != noIndex {
+			continue
+		}
+		idx, err := u.installOne(vpn + units.VPN(i))
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < pages; i++ {
-			if vpn+units.VPN(i) == p {
-				indices[i] = idx
-			}
-		}
+		indices[i] = idx
 	}
 	u.recordFragmentation(indices)
 	return indices, nil
@@ -243,7 +240,6 @@ func (u *PerProcessUTLB) installOne(p units.VPN) (int, error) {
 }
 
 func (u *PerProcessUTLB) takeSlot() (int, bool) {
-	u.slotSearches++
 	if len(u.free) == 0 {
 		return 0, false
 	}

@@ -216,3 +216,35 @@ func TestPerProcessFragmentation(t *testing.T) {
 		t.Error("no fragmentation recorded after churn")
 	}
 }
+
+// TestLookupOutsideAddressSpace: both user-level libraries reject a
+// buffer past the VASpacePages address space (or one whose page span
+// wraps) with an error, leaving no lookup counted, instead of
+// panicking in the bit vector or the translation table.
+func TestLookupOutsideAddressSpace(t *testing.T) {
+	r, u := newPP(t, 8, 0)
+	lib := r.spawnLib(t, 2, 0, LibConfig{Policy: LRU})
+	bad := []struct {
+		va     units.VAddr
+		nbytes int
+	}{
+		{VASpacePages * units.PageSize, units.PageSize},
+		{(VASpacePages - 1) * units.PageSize, 2 * units.PageSize},
+		{0xFFFFFFFFFFFFF000, 2 * units.PageSize},
+	}
+	for _, b := range bad {
+		if _, err := u.Lookup(b.va, b.nbytes); err == nil {
+			t.Errorf("per-process Lookup(%#x, %d) accepted", b.va, b.nbytes)
+		}
+		if err := lib.Lookup(b.va, b.nbytes); err == nil {
+			t.Errorf("Lib.Lookup(%#x, %d) accepted", b.va, b.nbytes)
+		}
+	}
+	if u.Stats().Lookups != 0 || lib.Stats().Lookups != 0 {
+		t.Errorf("rejected lookups counted: per-process %d, lib %d", u.Stats().Lookups, lib.Stats().Lookups)
+	}
+	// The last page of the space is still addressable.
+	if err := lib.Lookup((VASpacePages-1)*units.PageSize, units.PageSize); err != nil {
+		t.Errorf("last page rejected: %v", err)
+	}
+}

@@ -37,7 +37,6 @@ type Translator struct {
 
 	lookups int64
 	misses  int64
-	garbage int64
 	swapIns int64
 }
 
@@ -50,14 +49,10 @@ func NewTranslator(drv *Driver, prefetch int) *Translator {
 	return &Translator{drv: drv, prefetch: prefetch}
 }
 
-// Prefetch reports the configured prefetch width.
-func (tr *Translator) Prefetch() int { return tr.prefetch }
-
-// Lookups, Misses and GarbageHits report cumulative outcomes. Misses
-// counts Shared UTLB-Cache misses (the paper's "NI misses").
-func (tr *Translator) Lookups() int64     { return tr.lookups }
-func (tr *Translator) Misses() int64      { return tr.misses }
-func (tr *Translator) GarbageHits() int64 { return tr.garbage }
+// Lookups and Misses report cumulative outcomes. Misses counts Shared
+// UTLB-Cache misses (the paper's "NI misses").
+func (tr *Translator) Lookups() int64 { return tr.lookups }
+func (tr *Translator) Misses() int64  { return tr.misses }
 
 // SwapIns reports how many misses required a second-level table to be
 // brought back from disk.
@@ -73,11 +68,13 @@ func (tr *Translator) Translate(pid units.ProcID, vpn units.VPN) (units.PFN, Tra
 // dispatch: the first entry pays the full LookupBase entry cost, every
 // later entry only the per-entry BatchEntry increment; probes,
 // directory references and miss fills are charged per entry as always.
-// Results land in pfns/infos, which must be at least len(vpns) long. A
-// one-entry batch is cost- and event-identical to Translate.
-func (tr *Translator) TranslateBatch(pid units.ProcID, vpns []units.VPN, pfns []units.PFN, infos []TranslateInfo) {
+// hits[i], which must exist for every vpn, reports whether vpns[i] hit
+// the Shared UTLB-Cache. A one-entry batch is cost- and event-identical
+// to Translate.
+func (tr *Translator) TranslateBatch(pid units.ProcID, vpns []units.VPN, hits []bool) {
 	for i, vpn := range vpns {
-		pfns[i], infos[i] = tr.translate(pid, vpn, i == 0)
+		_, info := tr.translate(pid, vpn, i == 0)
+		hits[i] = info.Hit
 	}
 }
 
@@ -125,7 +122,6 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 	table := tr.drv.TableOf(pid)
 	if table == nil {
 		// Unregistered process: garbage semantics, nothing to fetch.
-		tr.garbage++
 		info.Garbage = true
 		return tr.drv.Garbage(), info
 	}
@@ -141,7 +137,6 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 	}
 	if !ok {
 		// No second-level table yet: the page was never pinned.
-		tr.garbage++
 		info.Garbage = true
 		return tr.drv.Garbage(), info
 	}
@@ -170,7 +165,6 @@ func (tr *Translator) translate(pid units.ProcID, vpn units.VPN, first bool) (un
 
 	pfn, valid := DecodeEntry(words[0])
 	if !valid {
-		tr.garbage++
 		info.Garbage = true
 		return tr.drv.Garbage(), info
 	}

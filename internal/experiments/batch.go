@@ -26,11 +26,9 @@ func BatchSweep(opts Options) (*stats.Table, error) {
 		"batch", "ni-refs", "miss%", "nic-time-ms", "avg-nic-lookup-us", "nic-speedup")
 	tr := workload.BulkTransfer(0, 1, opts.Seed, opts.scale())
 	results, err := parallel.Map(len(batchWidths), func(i int) (sim.Result, error) {
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.BatchPages = batchWidths[i]
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("batchsweep/b%02d", batchWidths[i]))
-		res, err := sim.Run(tr, cfg)
+		res, err := opts.simulate(tr, cfg, fmt.Sprintf("batchsweep/b%02d", batchWidths[i]))
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("batchsweep %d: %w", batchWidths[i], err)
 		}

@@ -22,24 +22,18 @@ func CompareTrace(tr trace.Trace, seed int64, pinLimitPages int, col *obs.Collec
 			tr.Lookups(), tr.Footprint(), pinLimitPages),
 		"cache", "UTLB check misses", "NI misses (both)", "UTLB unpins", "Intr unpins",
 		"UTLB lookup us", "Intr lookup us")
+	opts := Options{Seed: seed, Obs: col}
 	rows, err := parallel.Map(len(cacheSizes), func(si int) ([]string, error) {
 		entries := cacheSizes[si]
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.CacheEntries = entries
-		cfg.Seed = seed
 		cfg.PinLimitPages = pinLimitPages
-		if col != nil {
-			cfg.Recorder = col.Buffer(fmt.Sprintf("compare/%s/utlb", sizeLabel(entries)))
-		}
-		u, err := sim.Run(tr, cfg)
+		u, err := opts.simulate(tr, cfg, fmt.Sprintf("compare/%s/utlb", sizeLabel(entries)))
 		if err != nil {
 			return nil, fmt.Errorf("compare UTLB %d: %w", entries, err)
 		}
 		cfg.Mechanism = sim.Interrupt
-		if col != nil {
-			cfg.Recorder = col.Buffer(fmt.Sprintf("compare/%s/intr", sizeLabel(entries)))
-		}
-		i, err := sim.Run(tr, cfg)
+		i, err := opts.simulate(tr, cfg, fmt.Sprintf("compare/%s/intr", sizeLabel(entries)))
 		if err != nil {
 			return nil, fmt.Errorf("compare Intr %d: %w", entries, err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"utlb/internal/obs"
 	"utlb/internal/parallel"
+	"utlb/internal/sim"
 	"utlb/internal/trace"
 	"utlb/internal/units"
 	"utlb/internal/workload"
@@ -72,6 +73,20 @@ func (o Options) recorderFor(label string) obs.Recorder {
 		return nil
 	}
 	return o.Obs.Buffer(label)
+}
+
+// simConfig is the paper's baseline configuration, seeded from o.
+func (o Options) simConfig() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.Seed = o.Seed
+	return cfg
+}
+
+// simulate runs tr under cfg, recording into label's buffer (see
+// recorderFor).
+func (o Options) simulate(tr trace.Trace, cfg sim.Config, label string) (sim.Result, error) {
+	cfg.Recorder = o.recorderFor(label)
+	return sim.Run(tr, cfg)
 }
 
 // traceFor returns app's node-0 trace, memoised in the process-wide

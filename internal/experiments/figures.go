@@ -3,18 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"utlb/internal/bus"
-	"utlb/internal/core"
-	"utlb/internal/hostos"
-	"utlb/internal/nicsim"
-	"utlb/internal/obs"
 	"utlb/internal/parallel"
 	"utlb/internal/sim"
 	"utlb/internal/stats"
-	"utlb/internal/tlbcache"
-	"utlb/internal/trace"
-	"utlb/internal/units"
-	"utlb/internal/vm"
 	"utlb/internal/workload"
 )
 
@@ -40,11 +31,9 @@ func Fig7(opts Options) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.CacheEntries = entries
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("fig7/%s/%s", app, sizeLabel(entries)))
-		res, err := sim.Run(tr, cfg)
+		res, err := opts.simulate(tr, cfg, fmt.Sprintf("fig7/%s/%s", app, sizeLabel(entries)))
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s %d: %w", app, entries, err)
 		}
@@ -90,16 +79,14 @@ func Fig8(opts Options) (*stats.Figure, *stats.Figure, error) {
 	results, err := parallel.Map(len(sizes)*len(fig8Prefetches), func(i int) (sim.Result, error) {
 		entries := sizes[i/len(fig8Prefetches)]
 		prefetch := fig8Prefetches[i%len(fig8Prefetches)]
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.CacheEntries = entries
 		cfg.Prefetch = prefetch
 		// §6.4: "in order for prefetching to work well, translations
 		// for contiguous application pages must be available during
 		// a miss" — sequential pre-pinning (§6.5) provides them.
 		cfg.Prepin = prefetch
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("fig8/%s/pf%02d", sizeLabel(entries), prefetch))
-		res, err := sim.Run(tr, cfg)
+		res, err := opts.simulate(tr, cfg, fmt.Sprintf("fig8/%s/pf%02d", sizeLabel(entries), prefetch))
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("fig8 %d/%d: %w", entries, prefetch, err)
 		}
@@ -141,17 +128,16 @@ func AblationPerProcess(opts Options) (*stats.Table, error) {
 			return nil, err
 		}
 		// Shared UTLB-Cache run.
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.CacheEntries = totalEntries
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor("ablation-perprocess/" + app + "/shared")
-		shared, err := sim.Run(tr, cfg)
+		shared, err := opts.simulate(tr, cfg, "ablation-perprocess/"+app+"/shared")
 		if err != nil {
 			return nil, err
 		}
 		// Per-process run.
-		pp, err := runPerProcess(tr, perProcEntries, opts.Seed,
-			opts.recorderFor("ablation-perprocess/"+app+"/perproc"))
+		cfg.Mechanism = sim.PerProcess
+		cfg.CacheEntries = perProcEntries
+		pp, err := opts.simulate(tr, cfg, "ablation-perprocess/"+app+"/perproc")
 		if err != nil {
 			return nil, fmt.Errorf("per-process %s: %w", app, err)
 		}
@@ -175,70 +161,4 @@ func AblationPerProcess(opts Options) (*stats.Table, error) {
 		}
 	}
 	return tbl, nil
-}
-
-// runPerProcess drives a trace through per-process UTLBs (one static
-// table per process). rec, when non-nil, receives the run's events.
-func runPerProcess(tr trace.Trace, entries int, seed int64, rec obs.Recorder) (sim.Result, error) {
-	var res sim.Result
-	sorted := tr
-	if !tr.IsSortedByTime() {
-		sorted = append(trace.Trace(nil), tr...)
-		sorted.SortByTime()
-	}
-
-	frames := int64(sorted.Footprint())*2 + 8192
-	host := hostos.New(0, frames*units.PageSize, hostos.DefaultCosts())
-	clk := units.NewClock()
-	b := bus.New(host.Memory(), clk, bus.DefaultCosts())
-	// SRAM large enough for the static tables plus driver structures.
-	nic := nicsim.New(0, 64*units.MB, clk, b, nicsim.DefaultCosts())
-	drv, err := core.NewDriver(host, nic, tlbcache.Config{Entries: 16, Ways: 1})
-	if err != nil {
-		return res, err
-	}
-	if rec != nil {
-		host.SetRecorder(rec)
-		b.SetRecorder(rec, 0)
-		nic.SetRecorder(rec)
-		drv.Cache().Instrument(rec, clk, 0)
-	}
-	utlbs := map[units.ProcID]*core.PerProcessUTLB{}
-	for _, pid := range sorted.PIDs() {
-		proc, err := host.Spawn(pid, fmt.Sprintf("proc%d", pid),
-			vm.NewSpace(pid, host.Memory(), 0))
-		if err != nil {
-			return res, err
-		}
-		u, err := core.NewPerProcessUTLB(drv, proc, entries,
-			core.LibConfig{Policy: core.LRU, PolicySeed: seed, Recorder: rec})
-		if err != nil {
-			return res, err
-		}
-		utlbs[pid] = u
-	}
-	for _, rec := range sorted {
-		u := utlbs[rec.PID]
-		indices, err := u.Lookup(rec.VA, int(rec.Bytes))
-		if err != nil {
-			return res, err
-		}
-		for _, idx := range indices {
-			res.NIRefs++
-			u.Translate(idx)
-		}
-	}
-	for _, u := range utlbs {
-		st := u.Stats()
-		res.Lookups += st.Lookups
-		res.CheckMisses += st.CheckMisses
-		res.Pins += st.PagesPinned
-		res.Unpins += st.PagesUnpinned
-		res.PinTime += st.PinTime
-		res.UnpinTime += st.UnpinTime
-		res.CheckTime += st.CheckTime
-	}
-	res.HostTime = host.Clock().Now()
-	res.NICTime = clk.Now()
-	return res, nil
 }

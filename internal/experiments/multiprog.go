@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"utlb/internal/parallel"
-	"utlb/internal/sim"
 	"utlb/internal/stats"
 	"utlb/internal/workload"
 )
@@ -40,38 +39,32 @@ func AblationMultiprog(opts Options) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.CacheEntries = entries
-		cfg.Seed = opts.Seed
 
 		pairName := pair[0] + "+" + pair[1]
 		// Each alone at half scale (matching its share of the mix).
 		half := opts.scale() / 2
-		cfg.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/a-alone")
-		aAlone, err := sim.Run(specA.GenerateCached(workload.Config{
+		aAlone, err := opts.simulate(specA.GenerateCached(workload.Config{
 			Node: 0, FirstPID: 1, Seed: opts.Seed, Scale: half,
-		}), cfg)
+		}), cfg, "ablation-multiprog/"+pairName+"/a-alone")
 		if err != nil {
 			return nil, fmt.Errorf("multiprog %s alone: %w", pair[0], err)
 		}
-		cfg.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/b-alone")
-		bAlone, err := sim.Run(specB.GenerateCached(workload.Config{
+		bAlone, err := opts.simulate(specB.GenerateCached(workload.Config{
 			Node: 0, FirstPID: 1, Seed: opts.Seed, Scale: half,
-		}), cfg)
+		}), cfg, "ablation-multiprog/"+pairName+"/b-alone")
 		if err != nil {
 			return nil, fmt.Errorf("multiprog %s alone: %w", pair[1], err)
 		}
 
 		mixTrace := workload.Multiprogram([]*workload.Spec{specA, specB}, 0, opts.Seed, opts.scale())
-		cfg.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/mixed")
-		mixed, err := sim.Run(mixTrace, cfg)
+		mixed, err := opts.simulate(mixTrace, cfg, "ablation-multiprog/"+pairName+"/mixed")
 		if err != nil {
 			return nil, fmt.Errorf("multiprog mix: %w", err)
 		}
-		cfgNoOff := cfg
-		cfgNoOff.IndexOffset = false
-		cfgNoOff.Recorder = opts.recorderFor("ablation-multiprog/" + pairName + "/mixed-nooffset")
-		mixedNoOff, err := sim.Run(mixTrace, cfgNoOff)
+		cfg.IndexOffset = false
+		mixedNoOff, err := opts.simulate(mixTrace, cfg, "ablation-multiprog/"+pairName+"/mixed-nooffset")
 		if err != nil {
 			return nil, err
 		}

@@ -48,14 +48,12 @@ func Overlap(opts Options) (*stats.Table, error) {
 	tr := workload.BulkTransfer(0, 1, opts.Seed, opts.scale())
 	results, err := parallel.Map(len(overlapRows), func(i int) (sim.Result, error) {
 		row := overlapRows[i]
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.Prefetch = row.prefetch
-		cfg.Seed = opts.Seed
 		if row.channels > 0 {
 			cfg.Overlap = sim.OverlapConfig{Enabled: true, DMAChannels: row.channels}
 		}
-		cfg.Recorder = opts.recorderFor("overlap/" + row.label)
-		res, err := sim.Run(tr, cfg)
+		res, err := opts.simulate(tr, cfg, "overlap/"+row.label)
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("overlap %s: %w", row.label, err)
 		}

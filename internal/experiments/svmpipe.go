@@ -63,17 +63,14 @@ func SVMPipeline(opts Options) (*stats.Table, error) {
 			return nil, fmt.Errorf("svm pipeline %s: %w", k.name, err)
 		}
 		tr := sys.Trace()
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.CacheEntries = 1024
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor("svm-pipeline/" + k.name + "/utlb")
-		u, err := sim.Run(tr, cfg)
+		u, err := opts.simulate(tr, cfg, "svm-pipeline/"+k.name+"/utlb")
 		if err != nil {
 			return nil, err
 		}
 		cfg.Mechanism = sim.Interrupt
-		cfg.Recorder = opts.recorderFor("svm-pipeline/" + k.name + "/intr")
-		i, err := sim.Run(tr, cfg)
+		i, err := opts.simulate(tr, cfg, "svm-pipeline/"+k.name+"/intr")
 		if err != nil {
 			return nil, err
 		}

@@ -89,20 +89,17 @@ func comparisonTable(opts Options, expName, title string, pinLimitPages int) (*s
 		app := apps[i%len(apps)]
 		// Per-node averages, as the paper reports (§6.2).
 		return opts.avgOver(app, func(node int, tr trace.Trace) ([]float64, error) {
-			cfg := sim.DefaultConfig()
+			cfg := opts.simConfig()
 			cfg.CacheEntries = entries
 			cfg.PinLimitPages = pinLimitPages
-			cfg.Seed = opts.Seed
-			cfg.Recorder = opts.recorderFor(fmt.Sprintf("%s/%s/%s/utlb/n%d",
+			u, err := opts.simulate(tr, cfg, fmt.Sprintf("%s/%s/%s/utlb/n%d",
 				expName, app, sizeLabel(entries), node))
-			u, err := sim.Run(tr, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s UTLB %d: %w", app, entries, err)
 			}
 			cfg.Mechanism = sim.Interrupt
-			cfg.Recorder = opts.recorderFor(fmt.Sprintf("%s/%s/%s/intr/n%d",
+			i, err := opts.simulate(tr, cfg, fmt.Sprintf("%s/%s/%s/intr/n%d",
 				expName, app, sizeLabel(entries), node))
-			i, err := sim.Run(tr, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s Intr %d: %w", app, entries, err)
 			}
@@ -182,17 +179,14 @@ func Table6(opts Options) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.CacheEntries = entries
-		cfg.Seed = opts.Seed
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("table6/%s/%s/utlb", app, sizeLabel(entries)))
-		u, err := sim.Run(tr, cfg)
+		u, err := opts.simulate(tr, cfg, fmt.Sprintf("table6/%s/%s/utlb", app, sizeLabel(entries)))
 		if err != nil {
 			return nil, err
 		}
 		cfg.Mechanism = sim.Interrupt
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("table6/%s/%s/intr", app, sizeLabel(entries)))
-		ir, err := sim.Run(tr, cfg)
+		ir, err := opts.simulate(tr, cfg, fmt.Sprintf("table6/%s/%s/intr", app, sizeLabel(entries)))
 		if err != nil {
 			return nil, err
 		}
@@ -238,15 +232,13 @@ func Table7(opts Options) (*stats.Table, error) {
 		if err != nil {
 			return sim.Result{}, err
 		}
-		cfg := sim.DefaultConfig()
-		cfg.Seed = opts.Seed
+		cfg := opts.simConfig()
 		cfg.PinLimitPages = limit
 		cfg.Prepin = prepin
 		if opts.scale() < 1 {
 			cfg.CacheEntries = scaledSizes(opts)[3]
 		}
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("table7/%s/prepin%d", app, prepin))
-		res, err := sim.Run(tr, cfg)
+		res, err := opts.simulate(tr, cfg, fmt.Sprintf("table7/%s/prepin%d", app, prepin))
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("table7 %s prepin=%d: %w", app, prepin, err)
 		}
@@ -255,32 +247,21 @@ func Table7(opts Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	resultFor := func(app int, prepin int) sim.Result {
-		for pi, p := range prepins {
-			if p == prepin {
-				return runs[app*len(prepins)+pi]
-			}
-		}
-		panic("unknown prepin")
-	}
-
-	type rowKey struct {
-		label  string
-		prepin int
-		get    func(sim.Result) float64
-	}
-	rows := []rowKey{
-		{"pin", 1, func(r sim.Result) float64 { return r.AmortizedPinCost().Micros() }},
-		{"pin", 16, func(r sim.Result) float64 { return r.AmortizedPinCost().Micros() }},
-		{"unpin", 1, func(r sim.Result) float64 { return r.AmortizedUnpinCost().Micros() }},
-		{"unpin", 16, func(r sim.Result) float64 { return r.AmortizedUnpinCost().Micros() }},
+	rows := []struct {
+		label string
+		get   func(sim.Result) float64
+	}{
+		{"pin", func(r sim.Result) float64 { return r.AmortizedPinCost().Micros() }},
+		{"unpin", func(r sim.Result) float64 { return r.AmortizedUnpinCost().Micros() }},
 	}
 	for _, rk := range rows {
-		row := []string{rk.label, fmt.Sprintf("%d", rk.prepin)}
-		for ai := range apps {
-			row = append(row, fmt.Sprintf("%.1f", rk.get(resultFor(ai, rk.prepin))))
+		for pi, prepin := range prepins {
+			row := []string{rk.label, fmt.Sprintf("%d", prepin)}
+			for ai := range apps {
+				row = append(row, fmt.Sprintf("%.1f", rk.get(runs[ai*len(prepins)+pi])))
+			}
+			tbl.AddRow(row...)
 		}
-		tbl.AddRow(row...)
 	}
 	return tbl, nil
 }
@@ -312,14 +293,12 @@ func Table8(opts Options) (*stats.Table, error) {
 		a := assocs[i/len(apps)%len(assocs)]
 		app := apps[i%len(apps)]
 		avg, err := opts.avgOver(app, func(node int, tr trace.Trace) ([]float64, error) {
-			cfg := sim.DefaultConfig()
+			cfg := opts.simConfig()
 			cfg.CacheEntries = entries
 			cfg.Ways = a.ways
 			cfg.IndexOffset = a.offset
-			cfg.Seed = opts.Seed
-			cfg.Recorder = opts.recorderFor(fmt.Sprintf("table8/%s/%s/%s/n%d",
+			res, err := opts.simulate(tr, cfg, fmt.Sprintf("table8/%s/%s/%s/n%d",
 				app, a.label, sizeLabel(entries), node))
-			res, err := sim.Run(tr, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("table8 %s %s %d: %w", app, a.label, entries, err)
 			}
@@ -368,15 +347,13 @@ func AblationPolicies(opts Options) (*stats.Table, error) {
 		if err != nil {
 			return "", err
 		}
-		cfg := sim.DefaultConfig()
+		cfg := opts.simConfig()
 		cfg.Policy = pol
-		cfg.Seed = opts.Seed
 		cfg.PinLimitPages = limit
 		if opts.scale() < 1 {
 			cfg.CacheEntries = scaledSizes(opts)[3]
 		}
-		cfg.Recorder = opts.recorderFor(fmt.Sprintf("ablation-policies/%s/%s", pol, app))
-		res, err := sim.Run(tr, cfg)
+		res, err := opts.simulate(tr, cfg, fmt.Sprintf("ablation-policies/%s/%s", pol, app))
 		if err != nil {
 			return "", fmt.Errorf("policies %s %s: %w", pol, app, err)
 		}

@@ -58,15 +58,10 @@ type Mechanism struct {
 	stats Stats
 }
 
-// New builds the baseline on host/nic with the given cache geometry
-// (kept identical to the UTLB configuration under comparison, as the
-// paper does: "we assume that the cache structures are the same for
-// both cases").
-func New(host *hostos.Host, nic *nicsim.NIC, cacheCfg tlbcache.Config) (*Mechanism, error) {
-	return NewWith(host, nic, cacheCfg, nil)
-}
-
-// NewWith is New with the cache built over st, recycling one run's
+// NewWith builds the baseline on host/nic with the given cache
+// geometry (kept identical to the UTLB configuration under comparison,
+// as the paper does: "we assume that the cache structures are the same
+// for both cases"). The cache is built over st, recycling one run's
 // cache line arrays into the next (nil allocates fresh).
 func NewWith(host *hostos.Host, nic *nicsim.NIC, cacheCfg tlbcache.Config, st *tlbcache.Storage) (*Mechanism, error) {
 	if err := cacheCfg.Validate(); err != nil {
@@ -96,11 +91,6 @@ func (m *Mechanism) Register(proc *hostos.Process) error {
 
 // Stats returns the cumulative counters.
 func (m *Mechanism) Stats() Stats { return m.stats }
-
-// Misses returns the cumulative NI-cache miss count without copying
-// the full Stats struct — the simulator reads it twice per translated
-// page.
-func (m *Mechanism) Misses() int64 { return m.stats.Misses }
 
 // Cache returns the NIC translation cache.
 func (m *Mechanism) Cache() *tlbcache.Cache { return m.cache }

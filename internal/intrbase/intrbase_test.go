@@ -24,7 +24,7 @@ func newRig(t *testing.T, cacheEntries, pinLimit int, pids ...units.ProcID) *rig
 	clk := units.NewClock()
 	b := bus.New(host.Memory(), clk, bus.DefaultCosts())
 	nic := nicsim.New(0, units.MB, clk, b, nicsim.DefaultCosts())
-	m, err := New(host, nic, tlbcache.Config{Entries: cacheEntries, Ways: 1, IndexOffset: true})
+	m, err := NewWith(host, nic, tlbcache.Config{Entries: cacheEntries, Ways: 1, IndexOffset: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

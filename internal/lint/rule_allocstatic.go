@@ -21,10 +21,12 @@ import (
 //	<module>/internal/xlate.Service.Lookup / .Insert /
 //	                          .LookupMany / .InsertMany
 //
-// Reachability runs over static call and reference edges (interface
-// dispatch is excluded: a dynamic call on the hot path is already a
-// boxing/devirtualization question, and the iface edges would pull in
-// every implementer of common method names). Constructor-shaped
+// Reachability runs over static call and reference edges. Interface
+// dispatch is followed only to unexported methods: those can satisfy
+// only an interface of their own package, so the fan-out is exactly
+// that package's implementers (a package-local seam such as the
+// simulator's design interface), whereas exported method names would
+// pull in every implementer of common names module-wide. Constructor-shaped
 // functions (New*), validation (Validate) and the enabled-telemetry
 // variants (lookupTel & friends, which carry their own runtime
 // budget) are stop nodes: reachable code may call them off the fast
@@ -97,7 +99,7 @@ func computeAllocFindings(prog *Program, a *analysis) map[string][]Finding {
 		queue = queue[1:]
 		for _, e := range n.Calls {
 			c := e.Callee
-			if c == nil || e.Kind == EdgeIface || isAllocStop(c) {
+			if c == nil || isAllocStop(c) || (e.Kind == EdgeIface && c.Obj.Exported()) {
 				continue
 			}
 			if _, seen := rootOf[c]; !seen {

@@ -6,6 +6,7 @@ package sim
 //
 //	go test -run '^$' -bench 'BenchmarkClassifier|BenchmarkSimRun' -benchmem ./internal/sim
 import (
+	"strings"
 	"testing"
 
 	"utlb/internal/units"
@@ -45,22 +46,28 @@ func BenchmarkClassifierHit(b *testing.B) {
 	}
 }
 
-// BenchmarkSimRun times one full trace-driven UTLB run per iteration,
-// on a memoised (pre-sorted) workload trace — the unit of work the
-// parallel experiment engine fans out.
+// BenchmarkSimRun times one full trace-driven run per iteration, one
+// sub-benchmark per design, on a memoised (pre-sorted) workload trace —
+// the unit of work the parallel experiment engine fans out. Every
+// design runs through the same RunWith loop, so the sub-benchmarks
+// compare the designs' own work.
 func BenchmarkSimRun(b *testing.B) {
 	spec, err := workload.ByName("water-spatial")
 	if err != nil {
 		b.Fatal(err)
 	}
 	tr := spec.GenerateCached(workload.Config{Node: 0, FirstPID: 1, Seed: 1998, Scale: 0.1})
-	cfg := DefaultConfig()
-	cfg.CacheEntries = 1024
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(tr, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for m := Mechanism(0); m.known(); m++ {
+		b.Run(strings.ToLower(m.String()), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Mechanism = m
+			cfg.CacheEntries = 1024
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(tr, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // TestRecorderDoesNotChangeResult runs the same trace with and without
-// a recorder attached, for both mechanisms, and demands every Result
+// a recorder attached, for every design, and demands every Result
 // field match: recording must be strictly observational.
 func TestRecorderDoesNotChangeResult(t *testing.T) {
 	tr := smallTrace(t, "fft", 0.05)
-	for _, mech := range []Mechanism{UTLB, Interrupt} {
+	for _, mech := range mechanisms() {
 		cfg := DefaultConfig()
 		cfg.Mechanism = mech
 		cfg.CacheEntries = 1024
