@@ -11,7 +11,12 @@ all: check
 # The full local gate: what CI runs, in order.
 check: vet lint build race bench obs-smoke chaos overlap-soak loadtest telemetry-smoke bench-compare
 
+# gofmt gate, then go vet. gofmt -l lists every Go file it would
+# rewrite; any output fails the target. Dot-directories (the
+# benchmark's .bench_build cache) are skipped.
 vet:
+	@unformatted=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 # Project-specific static analysis (internal/lint via cmd/utlblint):

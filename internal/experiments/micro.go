@@ -157,7 +157,7 @@ func Table2() *stats.Table {
 
 		return []string{fmt.Sprintf("%d", entries),
 			fmt.Sprintf("%.1f", dma.Micros()),
-			fmt.Sprintf("%.1f", (missTotal-hit).Micros()),
+			fmt.Sprintf("%.1f", (missTotal - hit).Micros()),
 			fmt.Sprintf("%.1f", hit.Micros())}, nil
 	})
 	if err != nil {

@@ -27,10 +27,11 @@ import (
 // that package's implementers (a package-local seam such as the
 // simulator's design interface), whereas exported method names would
 // pull in every implementer of common names module-wide. Constructor-shaped
-// functions (New*), validation (Validate) and the enabled-telemetry
-// variants (lookupTel & friends, which carry their own runtime
-// budget) are stop nodes: reachable code may call them off the fast
-// path, but their bodies are not audited.
+// functions (New*) and validation (Validate) are stop nodes: reachable
+// code may call them off the fast path, but their bodies are not
+// audited. The xlate entries have one path with and without telemetry,
+// so the sink's hooks, window fold and sampled-chain code are audited
+// with them.
 //
 // Flagged allocation sites: fmt.* calls (except fmt.Errorf feeding a
 // return, and anything building a panic message), non-constant string
@@ -70,10 +71,6 @@ func hotEntryIDs(module string) []string {
 // does not enter.
 var allocStopNames = map[string]bool{
 	"Validate": true,
-	// The enabled-telemetry variants allocate deliberately (trace
-	// records come from a slab) and carry their own runtime budget.
-	"lookupTel": true, "insertTel": true,
-	"lookupManyTel": true, "insertManyTel": true,
 }
 
 func isAllocStop(n *FuncNode) bool {

@@ -15,11 +15,13 @@ import (
 
 // Histogram buckets: 2^7 .. 2^26 ns (128 ns .. ~67 ms) plus +Inf.
 // The span of interest runs from a single UTLB-Cache probe (~hundreds
-// of ns) up to a pin ioctl storm under an interrupt (~ms).
+// of ns) up to a pin ioctl storm under an interrupt (~ms). The live
+// telemetry export (internal/telemetry) shares these boundaries.
 const (
 	bucketLow  = 7  // 2^7 = 128 ns
 	bucketHigh = 26 // 2^26 ≈ 67 ms
-	numBuckets = bucketHigh - bucketLow + 1
+	// NumBuckets is the number of finite histogram buckets.
+	NumBuckets = bucketHigh - bucketLow + 1
 )
 
 // Metrics is the aggregate of one or more runs: per-kind counts, and
@@ -33,16 +35,20 @@ type Metrics struct {
 	// Hist). The Prometheus export computes the cumulative
 	// less-or-equal counts the format wants at write time, so
 	// aggregation touches exactly one bucket per event.
-	Hist   [NumKinds][numBuckets]int64
+	Hist   [NumKinds][NumBuckets]int64
 	HistN  [NumKinds]int64 // all span events, including those beyond the last finite bucket
 	SumDur [NumKinds]int64
 }
 
-// bucketIndex returns the index of the smallest bucket boundary
-// 2^(bucketLow+i) that is >= d, or a value >= numBuckets when d
+// BucketBound is the upper boundary of finite bucket i, in ns: the
+// Prometheus le label.
+func BucketBound(i int) int64 { return 1 << (bucketLow + i) }
+
+// BucketIndex returns the index of the smallest bucket boundary
+// BucketBound(i) that is >= d, or a value >= NumBuckets when d
 // exceeds the largest finite boundary (+Inf only). One bits.Len64
 // instead of a scan over all twenty boundaries.
-func bucketIndex(d uint64) int {
+func BucketIndex(d uint64) int {
 	if d <= 1<<bucketLow {
 		return 0
 	}
@@ -61,7 +67,7 @@ func Aggregate(runs []Run) *Metrics {
 			}
 			m.SumDur[ev.Kind] += int64(ev.Dur)
 			m.HistN[ev.Kind]++
-			if i := bucketIndex(uint64(ev.Dur)); i < numBuckets {
+			if i := BucketIndex(uint64(ev.Dur)); i < NumBuckets {
 				m.Hist[ev.Kind][i]++
 			}
 		}
@@ -84,8 +90,8 @@ func AggregateReference(runs []Run) *Metrics {
 			}
 			m.SumDur[ev.Kind] += int64(ev.Dur)
 			m.HistN[ev.Kind]++
-			for i := 0; i < numBuckets; i++ {
-				if int64(ev.Dur) <= 1<<(bucketLow+i) {
+			for i := 0; i < NumBuckets; i++ {
+				if int64(ev.Dur) <= BucketBound(i) {
 					m.Hist[ev.Kind][i]++
 				}
 			}
@@ -94,7 +100,7 @@ func AggregateReference(runs []Run) *Metrics {
 	// The loop above filled cumulative counts; difference them into
 	// the per-bucket representation Metrics now carries.
 	for k := range m.Hist {
-		for i := numBuckets - 1; i > 0; i-- {
+		for i := NumBuckets - 1; i > 0; i-- {
 			m.Hist[k][i] -= m.Hist[k][i-1]
 		}
 	}
@@ -126,10 +132,10 @@ func WritePrometheus(w io.Writer, m *Metrics) error {
 		}
 		meta := kindMetas[k]
 		cum := int64(0)
-		for i := 0; i < numBuckets; i++ {
+		for i := 0; i < NumBuckets; i++ {
 			cum += m.Hist[k][i]
 			fmt.Fprintf(bw, "utlb_event_duration_ns_bucket{kind=%q,le=\"%d\"} %d\n",
-				meta.name, int64(1)<<(bucketLow+i), cum)
+				meta.name, BucketBound(i), cum)
 		}
 		fmt.Fprintf(bw, "utlb_event_duration_ns_bucket{kind=%q,le=\"+Inf\"} %d\n",
 			meta.name, m.HistN[k])

@@ -13,31 +13,31 @@ import (
 // definition: index of the smallest boundary 2^(bucketLow+i) >= d.
 func TestBucketIndex(t *testing.T) {
 	naive := func(d uint64) int {
-		for i := 0; i < numBuckets; i++ {
+		for i := 0; i < NumBuckets; i++ {
 			if d <= 1<<(bucketLow+i) {
 				return i
 			}
 		}
-		return numBuckets
+		return NumBuckets
 	}
 	cases := []uint64{0, 1, 127, 128, 129, 255, 256, 257, 1000,
 		1 << 20, 1<<20 + 1, 1<<26 - 1, 1 << 26, 1<<26 + 1, 1 << 28, 1 << 40}
-	clamp := func(i int) int { // overflow contract: anything >= numBuckets is +Inf-only
-		if i > numBuckets {
-			return numBuckets
+	clamp := func(i int) int { // overflow contract: anything >= NumBuckets is +Inf-only
+		if i > NumBuckets {
+			return NumBuckets
 		}
 		return i
 	}
 	for _, d := range cases {
-		if got, want := clamp(bucketIndex(d)), naive(d); got != want {
-			t.Errorf("bucketIndex(%d) = %d, want %d", d, got, want)
+		if got, want := clamp(BucketIndex(d)), naive(d); got != want {
+			t.Errorf("BucketIndex(%d) = %d, want %d", d, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10000; i++ {
 		d := uint64(rng.Int63()) >> uint(rng.Intn(40))
-		if got, want := clamp(bucketIndex(d)), naive(d); got != want {
-			t.Fatalf("bucketIndex(%d) = %d, want %d", d, got, want)
+		if got, want := clamp(BucketIndex(d)), naive(d); got != want {
+			t.Fatalf("BucketIndex(%d) = %d, want %d", d, got, want)
 		}
 	}
 }

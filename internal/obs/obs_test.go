@@ -163,7 +163,7 @@ func TestAggregate(t *testing.T) {
 	}
 	// The 2^28 ns unpin exceeds every finite bucket: no finite bucket
 	// counts it, +Inf (HistN) does.
-	if m.HistN[KindUnpin] != 1 || m.Hist[KindUnpin] != [numBuckets]int64{} {
+	if m.HistN[KindUnpin] != 1 || m.Hist[KindUnpin] != [NumBuckets]int64{} {
 		t.Errorf("overflow span misbucketed: n=%d hist=%v",
 			m.HistN[KindUnpin], m.Hist[KindUnpin])
 	}

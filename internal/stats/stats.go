@@ -1,4 +1,4 @@
-// Package stats provides the counters and text-table rendering used to
+// Package stats provides the text-table and figure rendering used to
 // report every experiment in the paper's evaluation section.
 package stats
 
@@ -6,97 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
-
-// Counter is a named monotonically increasing event count. It is safe
-// for concurrent use: the parallel experiment engine may tick counters
-// belonging to shared infrastructure from several workers at once.
-type Counter struct {
-	name string
-	n    atomic.Int64
-}
-
-// NewCounter returns a counter with the given display name.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) { c.n.Add(delta) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Name reports the counter's display name.
-func (c *Counter) Name() string { return c.name }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n.Store(0) }
-
-// Rate reports the count divided by total, or zero when total is zero.
-// The paper reports most results "averaged over the total number of
-// lookups"; Rate is that normalisation.
-func (c *Counter) Rate(total int64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(c.n.Load()) / float64(total)
-}
-
-// Set is a registry of counters addressed by name, safe for concurrent
-// use. Counter creation is serialised under a mutex; the returned
-// counters update atomically without it.
-type Set struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	order    []string
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]*Counter)} }
-
-// Counter returns the named counter, creating it on first use.
-func (s *Set) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := NewCounter(name)
-	s.counters[name] = c
-	s.order = append(s.order, name)
-	return c
-}
-
-// Names reports counter names in creation order.
-func (s *Set) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
-}
-
-// Snapshot returns a name→value copy of the set.
-func (s *Set) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := make(map[string]int64, len(s.counters))
-	for name, c := range s.counters {
-		m[name] = c.Value()
-	}
-	return m
-}
-
-// Reset zeroes every counter in the set.
-func (s *Set) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		c.Reset()
-	}
-}
 
 // Table renders aligned text tables in the style of the paper.
 type Table struct {

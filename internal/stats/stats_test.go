@@ -5,59 +5,6 @@ import (
 	"testing"
 )
 
-func TestCounterBasics(t *testing.T) {
-	c := NewCounter("misses")
-	if c.Name() != "misses" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	if c.Value() != 0 {
-		t.Errorf("fresh counter = %d", c.Value())
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Errorf("after Reset = %d", c.Value())
-	}
-}
-
-func TestCounterRate(t *testing.T) {
-	c := NewCounter("x")
-	c.Add(25)
-	if got := c.Rate(100); got != 0.25 {
-		t.Errorf("Rate = %v, want 0.25", got)
-	}
-	if got := c.Rate(0); got != 0 {
-		t.Errorf("Rate(0) = %v, want 0", got)
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	a := s.Counter("a")
-	b := s.Counter("b")
-	if s.Counter("a") != a {
-		t.Error("Counter should return the same instance")
-	}
-	a.Add(2)
-	b.Add(3)
-	snap := s.Snapshot()
-	if snap["a"] != 2 || snap["b"] != 3 {
-		t.Errorf("Snapshot = %v", snap)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
-	}
-	s.Reset()
-	if s.Counter("a").Value() != 0 {
-		t.Error("Reset did not zero counters")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Table X", "app", "misses")
 	tbl.AddRow("fft", "0.25")

@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/bits"
 	"runtime"
 
+	"utlb/internal/obs"
 	"utlb/internal/obs/analyze"
 )
 
@@ -14,20 +14,6 @@ import (
 // to the obs event metrics and the xlate service counters. Same
 // discipline as obs.WritePrometheus: fixed log2 bucket boundaries,
 // integer counters, byte-deterministic output for a given state.
-
-// promBucket buckets follow obs/metrics.go: 2^7..2^26 ns plus +Inf.
-const (
-	promBucketLow  = 7
-	promBucketHigh = 26
-	numPromBuckets = promBucketHigh - promBucketLow + 1
-)
-
-func promBucketIndex(v int64) int {
-	if v <= 1<<promBucketLow {
-		return 0
-	}
-	return bits.Len64(uint64(v)-1) - promBucketLow
-}
 
 // WritePrometheus writes the sink's cumulative state as utlb_live_*
 // metrics: per-shard counters, the service-wide latency histogram
@@ -60,7 +46,7 @@ func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
 	// Service-wide latency histogram: digest buckets coarsened onto the
 	// shared log2 boundaries (a digest bucket's lower bound picks its
 	// le-bucket; sub-boundary resolution is already ~3%).
-	var hist [numPromBuckets]int64
+	var hist [obs.NumBuckets]int64
 	var n, sum int64
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -71,7 +57,7 @@ func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
 			if c == 0 {
 				continue
 			}
-			if bi := promBucketIndex(analyze.BucketValue(b)); bi < numPromBuckets {
+			if bi := obs.BucketIndex(uint64(analyze.BucketValue(b))); bi < obs.NumBuckets {
 				hist[bi] += c
 			}
 		}
@@ -79,10 +65,10 @@ func (t *Sink) WritePrometheus(w io.Writer, now int64) error {
 	bw.WriteString("# HELP utlb_live_op_duration_ns Latency of timed shard operations.\n")
 	bw.WriteString("# TYPE utlb_live_op_duration_ns histogram\n")
 	cum := int64(0)
-	for i := 0; i < numPromBuckets; i++ {
+	for i := 0; i < obs.NumBuckets; i++ {
 		cum += hist[i]
 		fmt.Fprintf(bw, "utlb_live_op_duration_ns_bucket{le=\"%d\"} %d\n",
-			int64(1)<<(promBucketLow+i), cum)
+			obs.BucketBound(i), cum)
 	}
 	fmt.Fprintf(bw, "utlb_live_op_duration_ns_bucket{le=\"+Inf\"} %d\n", n)
 	fmt.Fprintf(bw, "utlb_live_op_duration_ns_sum %d\n", sum)

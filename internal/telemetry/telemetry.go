@@ -10,8 +10,9 @@
 //   - Per-shard cumulative counters and fixed-bucket log2 latency
 //     histograms (the analyze.Digest bucket scheme), updated lock-free
 //     with atomics on every Lookup/LookupMany/Insert. The disabled
-//     path — a nil *Sink behind a nil check in xlate — is one pointer
-//     compare and zero allocations, the obs.Recorder contract.
+//     path is a nil *Sink: every hot-path hook is nil-safe, so it costs
+//     a nil-receiver check and zero allocations, the obs.Recorder
+//     contract.
 //
 //   - A rolling-window time series: a ring of N fixed-width windows.
 //     The hot path checks one atomic against the current window
@@ -168,8 +169,9 @@ type window struct {
 
 // Sink is the live telemetry collector for one xlate service. The
 // zero value is not usable; use New. A nil *Sink is the disabled
-// state: xlate guards every record site with a nil check, so the
-// disabled hot path is one pointer compare.
+// state: the hot-path hooks (Now, BeginRequest and the Record*
+// methods) return at once on a nil receiver, so xlate calls them
+// unconditionally.
 type Sink struct {
 	cfg    Config
 	clock  Clock
@@ -237,7 +239,11 @@ func (t *Sink) Now() int64 {
 // RecordLookups charges one timed lookup segment against shard si:
 // n keys, hits of them resident, taking durNs. now is the clock at
 // segment end (the caller already holds it; no extra clock read).
+// A no-op on a nil sink.
 func (t *Sink) RecordLookups(si int, n, hits, durNs, now int64) {
+	if t == nil {
+		return
+	}
 	t.maybeFold(now)
 	s := &t.shards[si]
 	s.lookups.Add(n)
@@ -247,7 +253,11 @@ func (t *Sink) RecordLookups(si int, n, hits, durNs, now int64) {
 }
 
 // RecordInserts charges one timed insert segment against shard si.
+// A no-op on a nil sink.
 func (t *Sink) RecordInserts(si int, n, evictions, durNs, now int64) {
+	if t == nil {
+		return
+	}
 	t.maybeFold(now)
 	s := &t.shards[si]
 	s.inserts.Add(n)
@@ -257,7 +267,11 @@ func (t *Sink) RecordInserts(si int, n, evictions, durNs, now int64) {
 
 // RecordInvalidations charges n dropped translations against shard
 // si. Invalidations are not timed (they are rare and administrative).
+// A no-op on a nil sink.
 func (t *Sink) RecordInvalidations(si int, n, now int64) {
+	if t == nil {
+		return
+	}
 	t.maybeFold(now)
 	t.shards[si].invalidations.Add(n)
 }
@@ -283,8 +297,8 @@ func (t *Sink) maybeFold(now int64) {
 	}
 }
 
-// cumTotalsLocked sums the per-shard cumulative counters. Reads race
-// benignly with hot-path writers: each counter is individually atomic
+// cumTotals sums the per-shard cumulative counters without the lock.
+// Reads race benignly with hot-path writers: each counter is individually atomic
 // and only ever grows, so a snapshot is a valid set of recent values.
 func (t *Sink) cumTotals() totals {
 	var c totals
@@ -344,10 +358,14 @@ func (t *Sink) foldLocked(now int64) {
 // BeginRequest allocates the next request id and reports whether this
 // request is sampled for tracing. Deterministic: ids are a dense
 // counter and every SampleEvery-th id is sampled, so the same request
-// sequence always samples the same requests.
+// sequence always samples the same requests. With MaxTraces 0 no chain
+// can be kept, so no request is sampled. A nil sink returns (0, false).
 func (t *Sink) BeginRequest() (id int64, sampled bool) {
+	if t == nil {
+		return 0, false
+	}
 	id = t.reqSeq.Add(1)
-	return id, t.cfg.SampleEvery > 0 && id%t.cfg.SampleEvery == 0
+	return id, t.cfg.SampleEvery > 0 && t.cfg.MaxTraces > 0 && id%t.cfg.SampleEvery == 0
 }
 
 // Trace accumulates one sampled request's event chain. It is built by
@@ -385,11 +403,9 @@ func (tr *Trace) Shard(t *Sink, si int, n, startNs, durNs int64) {
 }
 
 // FinishTrace closes the chain with the request-level span and
-// retains it in the sampled-trace ring.
+// retains it in the sampled-trace ring. Only requests BeginRequest
+// sampled reach it, so the ring has room for at least one chain.
 func (t *Sink) FinishTrace(tr *Trace, endNs, hits int64) {
-	if t.cfg.MaxTraces == 0 {
-		return
-	}
 	tr.events = append(tr.events, obs.Event{
 		Time: units.Time(tr.startNs - t.baseNs),
 		Dur:  units.Time(endNs - tr.startNs),

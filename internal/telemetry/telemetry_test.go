@@ -312,6 +312,36 @@ func TestSampling(t *testing.T) {
 			t.Fatal("sampled a request with SampleEvery=0")
 		}
 	}
+
+	// MaxTraces=0 keeps no chain, so nothing is sampled either; ids
+	// still advance.
+	cfg = testConfig()
+	cfg.SampleEvery = 1
+	cfg.MaxTraces = 0
+	s3, err := New(cfg, NewManualClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 4; i++ {
+		if id, ok := s3.BeginRequest(); ok || id != i {
+			t.Fatalf("BeginRequest = (%d, %t) with MaxTraces=0, want (%d, false)", id, ok, i)
+		}
+	}
+}
+
+// TestNilSinkHooks checks the disabled state: every hot-path hook is
+// callable on a nil sink and does nothing.
+func TestNilSinkHooks(t *testing.T) {
+	var s *Sink
+	if id, ok := s.BeginRequest(); id != 0 || ok {
+		t.Errorf("nil BeginRequest = (%d, %t), want (0, false)", id, ok)
+	}
+	if now := s.Now(); now != 0 {
+		t.Errorf("nil Now = %d, want 0", now)
+	}
+	s.RecordLookups(0, 4, 2, 10, 100)
+	s.RecordInserts(0, 4, 1, 10, 100)
+	s.RecordInvalidations(0, 1, 100)
 }
 
 func TestTraceChains(t *testing.T) {

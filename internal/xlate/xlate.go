@@ -83,7 +83,7 @@ type Service struct {
 	cfg    Config
 	mask   uint64
 	shards []shard
-	tel    *telemetry.Sink // nil = live telemetry disabled (the common case)
+	tel    *telemetry.Sink // nil = live telemetry disabled; every hook is nil-safe
 }
 
 // New returns a service for cfg.
@@ -115,27 +115,50 @@ func (s *Service) shardIndex(k Key) int {
 	return int((h ^ (h >> 29)) & s.mask)
 }
 
-// Lookup probes the service for k.
+// Lookup probes the service for k. With telemetry attached the probe
+// is timed as a one-key shard segment, and a sampled request retains
+// its trace chain.
 func (s *Service) Lookup(k Key) Result {
-	if s.tel != nil {
-		return s.lookupTel(k)
-	}
-	sh := &s.shards[s.shardIndex(k)]
+	t := s.tel
+	id, sampled := t.BeginRequest()
+	si := s.shardIndex(k)
+	start := t.Now()
+	sh := &s.shards[si]
 	sh.mu.Lock()
 	r := sh.cache.Lookup(k)
 	sh.mu.Unlock()
+	end := t.Now()
+	var hits int64
+	if r.Hit {
+		hits = 1
+	}
+	t.RecordLookups(si, 1, hits, end-start, end)
+	if sampled {
+		s.traceOne(id, si, start, end, hits)
+	}
 	return r
 }
 
-// Insert installs k→pfn, evicting within k's shard if needed.
+// Insert installs k→pfn, evicting within k's shard if needed. It is
+// timed and traced like Lookup.
 func (s *Service) Insert(k Key, pfn units.PFN) (evicted Key, wasEvicted bool) {
-	if s.tel != nil {
-		return s.insertTel(k, pfn)
-	}
-	sh := &s.shards[s.shardIndex(k)]
+	t := s.tel
+	id, sampled := t.BeginRequest()
+	si := s.shardIndex(k)
+	start := t.Now()
+	sh := &s.shards[si]
 	sh.mu.Lock()
 	evicted, wasEvicted = sh.cache.Insert(k, pfn)
 	sh.mu.Unlock()
+	end := t.Now()
+	var ev int64
+	if wasEvicted {
+		ev = 1
+	}
+	t.RecordInserts(si, 1, ev, end-start, end)
+	if sampled {
+		s.traceOne(id, si, start, end, 0)
+	}
 	return evicted, wasEvicted
 }
 
@@ -146,7 +169,7 @@ func (s *Service) Invalidate(k Key) bool {
 	sh.mu.Lock()
 	ok := sh.cache.Invalidate(k)
 	sh.mu.Unlock()
-	if ok && s.tel != nil {
+	if ok {
 		s.tel.RecordInvalidations(si, 1, s.tel.Now())
 	}
 	return ok
@@ -161,7 +184,7 @@ func (s *Service) InvalidateProcess(pid units.ProcID) int {
 		sh.mu.Lock()
 		dropped := sh.cache.InvalidateProcess(pid)
 		sh.mu.Unlock()
-		if dropped > 0 && s.tel != nil {
+		if dropped > 0 {
 			s.tel.RecordInvalidations(i, int64(dropped), s.tel.Now())
 		}
 		n += dropped
@@ -172,64 +195,104 @@ func (s *Service) InvalidateProcess(pid units.ProcID) int {
 // LookupMany resolves keys into out (grown if needed) and returns it.
 // Requests are grouped per shard so each shard lock is taken at most
 // once per batch, however the keys interleave — the amortisation that
-// makes bulk lookups cheap. out[i] corresponds to keys[i].
+// makes bulk lookups cheap. out[i] corresponds to keys[i]. With
+// telemetry attached, each per-shard segment (one lock acquisition
+// covering every key routed to that shard) is timed and charged to its
+// shard, and a sampled request retains one chain with a segment event
+// per shard touched.
 func (s *Service) LookupMany(keys []Key, out []Result) []Result {
-	if s.tel != nil {
-		return s.lookupManyTel(keys, out)
-	}
 	if cap(out) < len(keys) {
 		out = make([]Result, len(keys))
 	}
 	out = out[:len(keys)]
+	t := s.tel
+	id, sampled := t.BeginRequest()
+	reqStart := t.Now()
+	var tr *telemetry.Trace
+	if sampled {
+		tr = t.StartTrace(id, reqStart, len(keys))
+	}
+	var totalHits int64
 	for si := range s.shards {
 		sh := &s.shards[si]
 		locked := false
+		var n, hits, segStart int64
 		for i := range keys {
 			if s.shardIndex(keys[i]) != si {
 				continue
 			}
 			if !locked {
+				segStart = t.Now()
 				sh.mu.Lock()
 				locked = true
 			}
 			out[i] = sh.cache.Lookup(keys[i])
+			n++
+			if out[i].Hit {
+				hits++
+			}
 		}
 		if locked {
 			sh.mu.Unlock()
+			end := t.Now()
+			t.RecordLookups(si, n, hits, end-segStart, end)
+			if tr != nil {
+				tr.Shard(t, si, n, segStart, end-segStart)
+			}
+			totalHits += hits
 		}
+	}
+	if tr != nil {
+		t.FinishTrace(tr, t.Now(), totalHits)
 	}
 	return out
 }
 
-// InsertMany installs keys[i]→pfns[i] for all i, grouping per shard
-// like LookupMany. It returns the number of evictions the batch
-// caused. The slices must be the same length.
+// InsertMany installs keys[i]→pfns[i] for all i, grouping, timing and
+// tracing per shard like LookupMany. It returns the number of
+// evictions the batch caused. The slices must be the same length.
 func (s *Service) InsertMany(keys []Key, pfns []units.PFN) int {
 	if len(keys) != len(pfns) {
 		panic(fmt.Sprintf("xlate: InsertMany with %d keys but %d pfns", len(keys), len(pfns)))
 	}
-	if s.tel != nil {
-		return s.insertManyTel(keys, pfns)
+	t := s.tel
+	id, sampled := t.BeginRequest()
+	reqStart := t.Now()
+	var tr *telemetry.Trace
+	if sampled {
+		tr = t.StartTrace(id, reqStart, len(keys))
 	}
 	evictions := 0
 	for si := range s.shards {
 		sh := &s.shards[si]
 		locked := false
+		var n, ev, segStart int64
 		for i := range keys {
 			if s.shardIndex(keys[i]) != si {
 				continue
 			}
 			if !locked {
+				segStart = t.Now()
 				sh.mu.Lock()
 				locked = true
 			}
-			if _, ev := sh.cache.Insert(keys[i], pfns[i]); ev {
-				evictions++
+			if _, e := sh.cache.Insert(keys[i], pfns[i]); e {
+				ev++
 			}
+			n++
 		}
 		if locked {
 			sh.mu.Unlock()
+			end := t.Now()
+			t.RecordInserts(si, n, ev, end-segStart, end)
+			if tr != nil {
+				tr.Shard(t, si, n, segStart, end-segStart)
+			}
+			evictions += int(ev)
 		}
+	}
+	if tr != nil {
+		t.FinishTrace(tr, t.Now(), 0)
 	}
 	return evictions
 }

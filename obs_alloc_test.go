@@ -133,10 +133,12 @@ func TestTLBCacheLookupFillAllocBudget(t *testing.T) {
 //     entire telemetry surface must cost one pointer compare;
 //   - telemetry enabled, request not sampled: lock-free atomic counter
 //     and histogram updates only;
-//   - telemetry enabled with sampling off entirely (SampleEvery 0).
+//   - telemetry enabled with sampling off entirely (SampleEvery 0);
+//   - telemetry enabled, every request sampled but no chain retained
+//     (MaxTraces 0): a chain nobody keeps must not be built.
 //
-// Only sampled requests may allocate (they build an event chain), which
-// the fourth case bounds separately.
+// Only sampled requests whose chain is kept may allocate (they build an
+// event chain), which the last case bounds separately.
 func TestXlateLookupAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
@@ -162,12 +164,12 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 	// A wide window and a tiny manual-clock tick keep the ring from
 	// rotating mid-measurement; rotation is rare and amortised, not part
 	// of the per-op budget.
-	newSink := func(sampleEvery int64) *telemetry.Sink {
+	newSink := func(sampleEvery int64, maxTraces int) *telemetry.Sink {
 		clk := telemetry.NewManualClock(0)
 		clk.SetTick(1)
 		sink, err := telemetry.New(telemetry.Config{
 			Shards: 4, WindowNs: 1 << 62, Windows: 4,
-			SampleEvery: sampleEvery, MaxTraces: 8,
+			SampleEvery: sampleEvery, MaxTraces: maxTraces,
 			SLOTargetNs: 1_000_000, SLOBudget: 0.01,
 		}, clk)
 		if err != nil {
@@ -182,7 +184,7 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 	}
 
 	unsampled := newService()
-	if err := unsampled.AttachTelemetry(newSink(1 << 40)); err != nil {
+	if err := unsampled.AttachTelemetry(newSink(1<<40, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if got := lookupAllocs(unsampled); got > 0 {
@@ -190,11 +192,19 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 	}
 
 	noSampling := newService()
-	if err := noSampling.AttachTelemetry(newSink(0)); err != nil {
+	if err := noSampling.AttachTelemetry(newSink(0, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if got := lookupAllocs(noSampling); got > 0 {
 		t.Errorf("telemetry-enabled SampleEvery=0 Lookup allocates %d/op, budget 0", got)
+	}
+
+	noTraces := newService()
+	if err := noTraces.AttachTelemetry(newSink(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookupAllocs(noTraces); got > 0 {
+		t.Errorf("telemetry-enabled MaxTraces=0 Lookup allocates %d/op, budget 0", got)
 	}
 
 	// Sampling every request is the worst case: each lookup builds and
@@ -202,7 +212,7 @@ func TestXlateLookupAllocBudget(t *testing.T) {
 	// slice; the budget leaves headroom but catches a per-key or
 	// per-event allocation creeping in.
 	sampled := newService()
-	if err := sampled.AttachTelemetry(newSink(1)); err != nil {
+	if err := sampled.AttachTelemetry(newSink(1, 8)); err != nil {
 		t.Fatal(err)
 	}
 	const sampledBudget = 8
